@@ -562,6 +562,7 @@ func BenchmarkMapper(b *testing.B) {
 	c := bench.Build()
 	a := arch.NewBaseline(arch.IBM16Q2Bus)
 	opt := mapper.DefaultOptions()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mapper.Map(c, a, opt); err != nil {

@@ -1,5 +1,7 @@
 package circuit
 
+import "math"
+
 // DAG is the gate dependency graph of a circuit. Gate i depends on gate j
 // (j < i) when they share a qubit and no gate between them acts on that
 // qubit; this is the structure the SABRE-style mapper walks front-layer by
@@ -36,10 +38,10 @@ func NewDAG(c *Circuit) *DAG {
 				qs[q] = q
 			}
 		}
-		seenPred := map[int]bool{}
 		for _, q := range qs {
-			if p := last[q]; p >= 0 && !seenPred[p] {
-				seenPred[p] = true
+			// succ[p] ending in i means p already precedes i via an
+			// earlier qubit of this gate.
+			if p := last[q]; p >= 0 && !endsWith(d.succ[p], i) {
 				d.succ[p] = append(d.succ[p], i)
 				d.npred[i]++
 			}
@@ -48,6 +50,8 @@ func NewDAG(c *Circuit) *DAG {
 	}
 	return d
 }
+
+func endsWith(s []int, v int) bool { return len(s) > 0 && s[len(s)-1] == v }
 
 // Circuit returns the circuit the DAG was built from.
 func (d *DAG) Circuit() *Circuit { return d.circ }
@@ -62,7 +66,12 @@ type Front struct {
 	dag     *DAG
 	pending []int // remaining-predecessor counts
 	ready   []int // current front, ascending gate index
-	done    int
+	spare   []int // the previous front's buffer, reused by Resolve
+	// mark[g] == epoch flags g as in the front during a Resolve, and
+	// epoch+1 as resolved by it. epoch stays even.
+	mark  []uint32
+	epoch uint32
+	done  int
 }
 
 // NewFront returns a cursor positioned at the initial front layer.
@@ -70,6 +79,7 @@ func (d *DAG) NewFront() *Front {
 	f := &Front{
 		dag:     d,
 		pending: append([]int(nil), d.npred...),
+		mark:    make([]uint32, len(d.succ)),
 	}
 	for i := range d.succ {
 		if f.pending[i] == 0 {
@@ -90,27 +100,31 @@ func (f *Front) Done() bool { return f.done == f.dag.Len() }
 func (f *Front) Resolved() int { return f.done }
 
 // Resolve marks the given front gates as executed and advances the front.
-// Each index must currently be in Ready; Resolve panics otherwise, because
-// resolving a non-ready gate is a mapper bug that would silently corrupt
-// the schedule.
+// Each index must currently be in Ready and appear once; Resolve panics
+// otherwise, because resolving a gate that is not ready, or resolving one
+// twice, is a mapper bug that would silently corrupt the schedule.
 func (f *Front) Resolve(gates ...int) {
-	inReady := make(map[int]bool, len(f.ready))
-	for _, g := range f.ready {
-		inReady[g] = true
+	if f.epoch == math.MaxUint32-1 {
+		clear(f.mark)
+		f.epoch = 0
 	}
-	toRemove := make(map[int]bool, len(gates))
+	f.epoch += 2
+	inFront, resolved := f.epoch, f.epoch+1
+	for _, g := range f.ready {
+		f.mark[g] = inFront
+	}
 	for _, g := range gates {
-		if !inReady[g] {
+		switch {
+		case g < 0 || g >= len(f.mark) || f.mark[g] < inFront:
 			panic("circuit: Resolve of gate not in front layer")
-		}
-		if toRemove[g] {
+		case f.mark[g] == resolved:
 			panic("circuit: duplicate gate in Resolve")
 		}
-		toRemove[g] = true
+		f.mark[g] = resolved
 	}
-	var next []int
+	next := f.spare[:0]
 	for _, g := range f.ready {
-		if !toRemove[g] {
+		if f.mark[g] != resolved {
 			next = append(next, g)
 		}
 	}
@@ -123,7 +137,7 @@ func (f *Front) Resolve(gates ...int) {
 			}
 		}
 	}
-	f.ready = next
+	f.ready, f.spare = next, f.ready
 }
 
 // insertSorted inserts v into ascending slice s, preserving order.

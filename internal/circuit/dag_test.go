@@ -1,7 +1,9 @@
 package circuit
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -163,5 +165,102 @@ func TestLayersAndDepth(t *testing.T) {
 	}
 	if total != len(c.Gates) {
 		t.Fatalf("layers cover %d of %d gates", total, len(c.Gates))
+	}
+}
+
+func TestResolvePanicsOnDuplicate(t *testing.T) {
+	c := New("p", 2)
+	c.H(0).H(1)
+	f := NewDAG(c).NewFront()
+	defer func() {
+		if r := recover(); r != "circuit: duplicate gate in Resolve" {
+			t.Fatalf("recovered %v, want the duplicate-gate panic", r)
+		}
+	}()
+	f.Resolve(0, 0)
+}
+
+// TestResolvePanicsOnResolvedGate also resolves the gate again right
+// after the Front's stamp epoch wraps, where a stale stamp must not pass
+// for a front gate.
+func TestResolvePanicsOnResolvedGate(t *testing.T) {
+	for _, epoch := range []uint32{0, math.MaxUint32 - 3} {
+		c := New("p", 2)
+		c.H(0).H(1)
+		f := NewDAG(c).NewFront()
+		f.epoch = epoch
+		f.Resolve(0)
+		func() {
+			defer func() {
+				if r := recover(); r != "circuit: Resolve of gate not in front layer" {
+					t.Fatalf("epoch %d: recovered %v, want the not-in-front panic", epoch, r)
+				}
+			}()
+			f.Resolve(0)
+		}()
+	}
+}
+
+// TestResolvePartialMatchesReference resolves random subsets of the front
+// and compares every front with its definition: the unresolved gates whose
+// direct predecessors are all resolved, ascending. It also runs across the
+// wrap of the Front's stamp epoch.
+func TestResolvePartialMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(5)
+		c := New("rand", n)
+		for g := 0; g < 5+rng.Intn(50); g++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			switch {
+			case rng.Intn(8) == 0:
+				c.Append(Gate{Kind: Barrier})
+			case rng.Intn(3) == 0 || a == b:
+				c.H(a)
+			default:
+				c.CX(a, b)
+			}
+		}
+		d := NewDAG(c)
+		preds := make([][]int, d.Len())
+		for i := 0; i < d.Len(); i++ {
+			for _, s := range d.Successors(i) {
+				preds[s] = append(preds[s], i)
+			}
+		}
+		f := d.NewFront()
+		if trial%2 == 1 {
+			f.epoch = math.MaxUint32 - 5 // wraps within a few calls
+		}
+		resolved := make([]bool, d.Len())
+		for !f.Done() {
+			var want []int
+			for i := range resolved {
+				ok := !resolved[i]
+				for _, p := range preds[i] {
+					ok = ok && resolved[p]
+				}
+				if ok {
+					want = append(want, i)
+				}
+			}
+			if got := f.Ready(); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: front %v, want %v", trial, got, want)
+			}
+			var pick []int
+			for _, g := range want {
+				if rng.Intn(2) == 0 {
+					pick = append(pick, g)
+				}
+			}
+			if len(pick) == 0 {
+				pick = want[len(want)-1:]
+			}
+			rng.Shuffle(len(pick), func(i, j int) { pick[i], pick[j] = pick[j], pick[i] })
+			f.Resolve(pick...)
+			for _, g := range pick {
+				resolved[g] = true
+			}
+		}
 	}
 }

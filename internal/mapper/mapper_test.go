@@ -1,12 +1,17 @@
 package mapper
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"qproc/internal/arch"
 	"qproc/internal/circuit"
+	"qproc/internal/gen"
 	"qproc/internal/lattice"
+	"qproc/internal/profile"
 	"qproc/internal/sim"
 )
 
@@ -295,5 +300,40 @@ func TestMeasurementsFollowQubit(t *testing.T) {
 	}
 	if nMeasure != 4 {
 		t.Fatalf("mapped circuit has %d measurements, want 4", nMeasure)
+	}
+}
+
+// TestLookAheadStampWrap routes once with fresh look-ahead scratch and once
+// with its stamp epoch about to wrap and every gate stamped with the epoch
+// that follows the wrap: the wrap must clear the stamps, so both routes
+// emit the same circuit.
+func TestLookAheadStampWrap(t *testing.T) {
+	bench, err := gen.Get("rd84_142")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := bench.Build()
+	a := arch.NewBaseline(arch.IBM16Q2Bus)
+	p, err := profile.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := NewDistances(a)
+	seed := InitialMapping(p, a, dm)
+	dag := circuit.NewDAG(c)
+	run := func(r *router) (*Mapping, *circuit.Circuit, int) {
+		m := seed.Clone()
+		out := circuit.New(c.Name, a.NumQubits())
+		return m, out, r.route(dag, m, out)
+	}
+	m1, out1, swaps1 := run(newRouter(a, dm, DefaultOptions(), len(c.Gates)))
+	wrapping := newRouter(a, dm, DefaultOptions(), len(c.Gates))
+	wrapping.epoch = math.MaxUint32
+	for i := range wrapping.seen {
+		wrapping.seen[i] = 1
+	}
+	m2, out2, swaps2 := run(wrapping)
+	if swaps1 == 0 || swaps1 != swaps2 || !slices.Equal(m1.L2P, m2.L2P) || !reflect.DeepEqual(out1.Gates, out2.Gates) {
+		t.Fatalf("routes differ across the stamp wrap: %d vs %d swaps", swaps1, swaps2)
 	}
 }

@@ -2,7 +2,6 @@ package mapper
 
 import (
 	"fmt"
-	"sort"
 
 	"qproc/internal/arch"
 	"qproc/internal/circuit"
@@ -85,8 +84,10 @@ func Map(c *circuit.Circuit, a *arch.Architecture, opt Options) (*Result, error)
 	// Two deterministic initial-mapping candidates: the coupling-driven
 	// greedy and the snake walk (perfect for chain-structured programs).
 	// Each is polished by SABRE forward-backward refinement; the final
-	// routing with the fewest gates wins.
-	rev := reversed(c)
+	// routing with the fewest gates wins. Only the final routings build
+	// the physical circuit.
+	dag, rev := circuit.NewDAG(c), circuit.NewDAG(reversed(c))
+	r := newRouter(a, dm, opt, len(c.Gates))
 	var best *Result
 	for _, seed := range []*Mapping{
 		InitialMapping(p, a, dm),
@@ -97,21 +98,22 @@ func Map(c *circuit.Circuit, a *arch.Architecture, opt Options) (*Result, error)
 		}
 		m := seed
 		for it := 0; it < opt.Iterations; it++ {
-			fwd := route(c, a, dm, m.Clone(), opt)
-			if fwd.swaps == 0 {
+			refined := m.Clone()
+			if r.route(dag, refined, nil) == 0 {
 				break // already perfect; refinement cannot improve
 			}
-			bwd := route(rev, a, dm, fwd.finalMapping, opt)
-			m = bwd.finalMapping
+			r.route(rev, refined, nil)
+			m = refined
 		}
 		initial := append([]int(nil), m.L2P...)
-		run := route(c, a, dm, m, opt)
+		out := circuit.New(c.Name+"@"+a.Name, a.NumQubits())
+		swaps := r.route(dag, m, out)
 		res := &Result{
-			Mapped:    run.out,
+			Mapped:    out,
 			Initial:   initial,
-			Final:     append([]int(nil), run.finalMapping.L2P...),
-			Swaps:     run.swaps,
-			GateCount: run.out.GateCount(),
+			Final:     append([]int(nil), m.L2P...),
+			Swaps:     swaps,
+			GateCount: out.GateCount(),
 		}
 		if best == nil || res.GateCount < best.GateCount {
 			best = res
@@ -206,26 +208,64 @@ func reversed(c *circuit.Circuit) *circuit.Circuit {
 	return out
 }
 
-type routeResult struct {
-	out          *circuit.Circuit
-	finalMapping *Mapping
-	swaps        int
+// pair is the logical qubit pair of a CX gate.
+type pair struct{ a, b int }
+
+// router is the routing context of one Map call: the inputs its routes
+// share, and scratch reused across routes and SWAP decisions so that a
+// decision allocates nothing.
+type router struct {
+	a     *arch.Architecture
+	dm    *Distances
+	edges []arch.Edge // sorted by (A, B)
+	opt   Options
+	decay []float64
+	exec  []int
+
+	// The per-front inputs of the heuristic, refreshed by lookAhead: the
+	// front's CX gates and the extended set E.
+	frontCX, extended []pair
+
+	// lookAhead's breadth-first search: seen[g] == epoch marks gate g
+	// visited by the current search.
+	seen  []uint32
+	epoch uint32
+	queue []int
+
+	// candidateSwaps marks the physical qubits of the front CX gates in
+	// active and clears them again before it returns.
+	active []bool
+	cands  []arch.Edge
 }
 
-// route executes the SABRE routing loop with the given starting mapping,
-// mutating it in place and returning it as finalMapping.
-func route(c *circuit.Circuit, a *arch.Architecture, dm *Distances, m *Mapping, opt Options) routeResult {
-	out := circuit.New(c.Name+"@"+a.Name, a.NumQubits())
-	dag := circuit.NewDAG(c)
-	front := dag.NewFront()
-	edges := a.Edges()
-	decay := make([]float64, a.NumQubits())
-	resetDecay := func() {
-		for i := range decay {
-			decay[i] = 1
-		}
+// newRouter returns a router for circuits of the given gate count on a.
+func newRouter(a *arch.Architecture, dm *Distances, opt Options, gates int) *router {
+	return &router{
+		a:      a,
+		dm:     dm,
+		edges:  a.Edges(),
+		opt:    opt,
+		decay:  make([]float64, a.NumQubits()),
+		seen:   make([]uint32, gates),
+		active: make([]bool, a.NumQubits()),
 	}
-	resetDecay()
+}
+
+func (r *router) resetDecay() {
+	for i := range r.decay {
+		r.decay[i] = 1
+	}
+}
+
+// route executes the SABRE routing loop over dag from mapping m, mutating m
+// into the final mapping, and returns the number of SWAPs inserted. The
+// routed physical circuit is appended to out unless out is nil: the
+// refinement passes need only the final mapping.
+func (r *router) route(dag *circuit.DAG, m *Mapping, out *circuit.Circuit) int {
+	c := dag.Circuit()
+	dm := r.dm
+	front := dag.NewFront()
+	r.resetDecay()
 	swaps, sinceReset := 0, 0
 	// stall counts SWAPs inserted since the last gate execution. If the
 	// heuristic oscillates (possible on adversarial inputs), forceProgress
@@ -233,72 +273,150 @@ func route(c *circuit.Circuit, a *arch.Architecture, dm *Distances, m *Mapping, 
 	// which guarantees termination.
 	stall := 0
 	maxStall := 4 * (dm.N() + 4)
+	// stale is set while frontCX and extended describe an earlier front.
+	stale := true
 
 	for !front.Done() {
 		// Execute everything executable in the current front.
-		var exec []int
+		exec := r.exec[:0]
 		for _, gi := range front.Ready() {
-			g := c.Gates[gi]
+			g := &c.Gates[gi]
 			if g.Kind != circuit.CX || dm.Between(m.L2P[g.Qubits[0]], m.L2P[g.Qubits[1]]) == 1 {
 				exec = append(exec, gi)
 			}
 		}
+		r.exec = exec
 		if len(exec) > 0 {
-			for _, gi := range exec {
-				emit(out, c.Gates[gi], m)
+			if out != nil {
+				for _, gi := range exec {
+					emit(out, c.Gates[gi], m)
+				}
 			}
 			front.Resolve(exec...)
-			resetDecay()
+			stale = true
+			r.resetDecay()
 			sinceReset = 0
 			stall = 0
 			continue
 		}
 
 		// Blocked: every front gate is a CX on a non-coupled pair.
-		frontCX := frontTwoQubit(c, front.Ready())
+		if stale {
+			r.lookAhead(dag, front.Ready())
+			stale = false
+		}
 		if stall >= maxStall {
-			swaps += forceProgress(out, a, dm, m, frontCX[0])
+			swaps += r.forceProgress(m, r.frontCX[0], out)
 			stall = 0
 			continue
 		}
-		extended := extendedSet(c, dag, front, opt.ExtendedSize)
-		cands := candidateSwaps(edges, m, frontCX)
+		cands := r.candidateSwaps(m)
 		if len(cands) == 0 {
 			// No swap touches a front qubit: disconnected placement.
 			// This cannot happen on connected coupling graphs; fail loudly.
-			panic(fmt.Sprintf("mapper: no candidate swaps for %q on %q", c.Name, a.Name))
+			panic(fmt.Sprintf("mapper: no candidate swaps for %q on %q", c.Name, r.a.Name))
 		}
 		best, bestScore := cands[0], 0.0
 		for i, sw := range cands {
-			s := swapScore(sw, m, dm, frontCX, extended, decay, opt)
+			s := r.swapScore(sw, m)
 			if i == 0 || s < bestScore {
 				best, bestScore = sw, s
 			}
 		}
 		m.Swap(best.A, best.B)
-		emitSwap(out, best.A, best.B)
+		if out != nil {
+			emitSwap(out, best.A, best.B)
+		}
 		swaps++
-		decay[best.A] += opt.DecayDelta
-		decay[best.B] += opt.DecayDelta
+		r.decay[best.A] += r.opt.DecayDelta
+		r.decay[best.B] += r.opt.DecayDelta
 		sinceReset++
 		stall++
-		if opt.DecayReset > 0 && sinceReset >= opt.DecayReset {
-			resetDecay()
+		if r.opt.DecayReset > 0 && sinceReset >= r.opt.DecayReset {
+			r.resetDecay()
 			sinceReset = 0
 		}
 	}
-	return routeResult{out: out, finalMapping: m, swaps: swaps}
+	return swaps
+}
+
+// lookAhead refreshes the per-front inputs of the heuristic: the CX gates
+// of the front, and the extended set, up to ExtendedSize CX gates reachable
+// from the front in the DAG (breadth-first over successors), the
+// look-ahead window of SABRE. Both depend only on the front, not on the
+// mapping, so route calls this once per blocked front, not once per SWAP.
+func (r *router) lookAhead(dag *circuit.DAG, ready []int) {
+	c := dag.Circuit()
+	r.frontCX = r.frontCX[:0]
+	for _, gi := range ready {
+		if g := &c.Gates[gi]; g.Kind == circuit.CX {
+			r.frontCX = append(r.frontCX, pair{g.Qubits[0], g.Qubits[1]})
+		}
+	}
+	r.extended = r.extended[:0]
+	size := r.opt.ExtendedSize
+	if size <= 0 {
+		return
+	}
+	r.epoch++
+	if r.epoch == 0 {
+		clear(r.seen)
+		r.epoch = 1
+	}
+	queue := append(r.queue[:0], ready...)
+	for _, gi := range queue {
+		r.seen[gi] = r.epoch
+	}
+	for head := 0; head < len(queue) && len(r.extended) < size; head++ {
+		for _, s := range dag.Successors(queue[head]) {
+			if r.seen[s] == r.epoch {
+				continue
+			}
+			r.seen[s] = r.epoch
+			if g := &c.Gates[s]; g.Kind == circuit.CX {
+				r.extended = append(r.extended, pair{g.Qubits[0], g.Qubits[1]})
+				if len(r.extended) >= size {
+					break
+				}
+			}
+			queue = append(queue, s)
+		}
+	}
+	r.queue = queue
+}
+
+// candidateSwaps returns the coupling edges that touch at least one
+// physical qubit occupied by a logical qubit of a blocked front CX, in
+// (A, B) edge order. The slice is reused by the next call.
+func (r *router) candidateSwaps(m *Mapping) []arch.Edge {
+	for _, g := range r.frontCX {
+		r.active[m.L2P[g.a]] = true
+		r.active[m.L2P[g.b]] = true
+	}
+	cands := r.cands[:0]
+	for _, e := range r.edges {
+		if r.active[e.A] || r.active[e.B] {
+			cands = append(cands, e)
+		}
+	}
+	for _, g := range r.frontCX {
+		r.active[m.L2P[g.a]] = false
+		r.active[m.L2P[g.b]] = false
+	}
+	r.cands = cands
+	return cands
 }
 
 // forceProgress moves the control qubit of gate g along a shortest path
-// toward its target until the pair is coupled, emitting the SWAPs, and
-// returns the number inserted. It is the deterministic termination
-// fallback for heuristic oscillation.
-func forceProgress(out *circuit.Circuit, a *arch.Architecture, dm *Distances, m *Mapping, g circuit.Gate) int {
-	adj := a.AdjList()
+// toward its target until the pair is coupled, emitting the SWAPs to out
+// unless it is nil, and returns the number inserted. It is the
+// deterministic termination fallback for heuristic oscillation.
+func (r *router) forceProgress(m *Mapping, g pair, out *circuit.Circuit) int {
+	dm := r.dm
+	adj := r.a.AdjList()
 	inserted := 0
 	for {
-		pc, pt := m.L2P[g.Qubits[0]], m.L2P[g.Qubits[1]]
+		pc, pt := m.L2P[g.a], m.L2P[g.b]
 		d := dm.Between(pc, pt)
 		if d <= 1 {
 			return inserted
@@ -314,7 +432,9 @@ func forceProgress(out *circuit.Circuit, a *arch.Architecture, dm *Distances, m 
 			panic(fmt.Sprintf("mapper: no shortest-path step from %d to %d", pc, pt))
 		}
 		m.Swap(pc, next)
-		emitSwap(out, pc, next)
+		if out != nil {
+			emitSwap(out, pc, next)
+		}
 		inserted++
 	}
 }
@@ -338,108 +458,40 @@ func emitSwap(out *circuit.Circuit, p1, p2 int) {
 	out.CX(p1, p2).CX(p2, p1).CX(p1, p2)
 }
 
-// frontTwoQubit returns the CX gates of the current front.
-func frontTwoQubit(c *circuit.Circuit, ready []int) []circuit.Gate {
-	var out []circuit.Gate
-	for _, gi := range ready {
-		if c.Gates[gi].Kind == circuit.CX {
-			out = append(out, c.Gates[gi])
-		}
-	}
-	return out
-}
-
-// extendedSet collects up to size CX gates reachable from the front in the
-// DAG (breadth-first over successors), the look-ahead window of the SABRE
-// heuristic.
-func extendedSet(c *circuit.Circuit, dag *circuit.DAG, front *circuit.Front, size int) []circuit.Gate {
-	if size <= 0 {
-		return nil
-	}
-	var out []circuit.Gate
-	visited := map[int]bool{}
-	queue := append([]int(nil), front.Ready()...)
-	for _, gi := range queue {
-		visited[gi] = true
-	}
-	for len(queue) > 0 && len(out) < size {
-		gi := queue[0]
-		queue = queue[1:]
-		for _, s := range dag.Successors(gi) {
-			if visited[s] {
-				continue
-			}
-			visited[s] = true
-			if c.Gates[s].Kind == circuit.CX {
-				out = append(out, c.Gates[s])
-				if len(out) >= size {
-					break
-				}
-			}
-			queue = append(queue, s)
-		}
-	}
-	return out
-}
-
-// swapCandidate is a physical SWAP on a coupling-graph edge.
-type swapCandidate struct{ A, B int }
-
-// candidateSwaps returns the coupling edges that touch at least one
-// physical qubit occupied by a logical qubit of a blocked front CX, in
-// deterministic edge order.
-func candidateSwaps(edges []arch.Edge, m *Mapping, frontCX []circuit.Gate) []swapCandidate {
-	active := map[int]bool{}
-	for _, g := range frontCX {
-		active[m.L2P[g.Qubits[0]]] = true
-		active[m.L2P[g.Qubits[1]]] = true
-	}
-	var out []swapCandidate
-	for _, e := range edges {
-		if active[e.A] || active[e.B] {
-			out = append(out, swapCandidate{e.A, e.B})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
 // swapScore evaluates the SABRE heuristic for applying sw to mapping m:
 //
 //	H = max(decay) · [ (1/|F|)·Σ_F dist' + W·(1/|E|)·Σ_E dist' ]
 //
 // where dist' is the post-swap coupling distance between the physical
 // qubits of each gate's logical pair.
-func swapScore(sw swapCandidate, m *Mapping, dm *Distances, frontCX, extended []circuit.Gate, decay []float64, opt Options) float64 {
+func (r *router) swapScore(sw arch.Edge, m *Mapping) float64 {
+	score := meanDistance(sw, m, r.dm, r.frontCX) + r.opt.ExtendedWeight*meanDistance(sw, m, r.dm, r.extended)
+	d := r.decay[sw.A]
+	if r.decay[sw.B] > d {
+		d = r.decay[sw.B]
+	}
+	return d * score
+}
+
+// meanDistance is the mean coupling distance of the pairs once sw is
+// applied to m; 0 for no pairs.
+func meanDistance(sw arch.Edge, m *Mapping, dm *Distances, pairs []pair) float64 {
+	if len(pairs) == 0 {
+		return 0
+	}
 	phys := func(l int) int {
-		p := m.L2P[l]
-		switch p {
+		switch p := m.L2P[l]; p {
 		case sw.A:
 			return sw.B
 		case sw.B:
 			return sw.A
+		default:
+			return p
 		}
-		return p
 	}
-	sum := func(gs []circuit.Gate) float64 {
-		if len(gs) == 0 {
-			return 0
-		}
-		t := 0
-		for _, g := range gs {
-			t += dm.Between(phys(g.Qubits[0]), phys(g.Qubits[1]))
-		}
-		return float64(t) / float64(len(gs))
+	t := 0
+	for _, g := range pairs {
+		t += dm.Between(phys(g.a), phys(g.b))
 	}
-	score := sum(frontCX) + opt.ExtendedWeight*sum(extended)
-	d := decay[sw.A]
-	if decay[sw.B] > d {
-		d = decay[sw.B]
-	}
-	return d * score
+	return float64(t) / float64(len(pairs))
 }

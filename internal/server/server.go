@@ -483,6 +483,11 @@ func (s *Server) runJob(j *job) {
 		payload, err = marshalOutcome(out)
 	}
 
+	// The job becomes terminal, is counted as finished and wakes its
+	// clients in one critical section (lock order s.mu, then j.mu), so a
+	// client that sees it done and submits again finds it already counted
+	// by the eviction scan.
+	s.mu.Lock()
 	j.mu.Lock()
 	j.finished = time.Now().UTC()
 	j.cached = cached
@@ -515,9 +520,10 @@ func (s *Server) runJob(j *job) {
 	status := j.status
 	s.journalAppendLocked(j)
 	close(j.done)
+	s.finished++
 	j.mu.Unlock()
+	s.mu.Unlock()
 	j.cancel() // release the context's resources
-	s.markFinished()
 	switch status {
 	case statusCanceled:
 		// A cancelled job's checkpoint is stale by decision: the client
@@ -617,13 +623,6 @@ func (s *Server) requeue(prev *job) {
 	s.jobs[j.id] = j
 	s.finished-- // the terminal job left the books; its slot runs again
 	s.qcond.Signal()
-}
-
-// markFinished bumps the terminal-job counter the eviction scan reads.
-func (s *Server) markFinished() {
-	s.mu.Lock()
-	s.finished++
-	s.mu.Unlock()
 }
 
 // cancelJob cooperatively cancels one job. A queued job retires

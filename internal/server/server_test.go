@@ -497,6 +497,62 @@ func TestFinishedJobEviction(t *testing.T) {
 	}
 }
 
+// TestRetainJobsHoldsAcrossBackToBackJobs: a job is counted as finished
+// in the same critical section that wakes its clients. So when a client
+// sees job k done and at once submits job k+1, the eviction scan already
+// counts job k and at most RetainJobs finished jobs stay in memory.
+func TestRetainJobsHoldsAcrossBackToBackJobs(t *testing.T) {
+	s, err := New(Config{
+		Runner:     experiments.NewRunner(tinyOptions()),
+		QueueSize:  8,
+		RetainJobs: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	// heldLocked counts the finished jobs in memory other than skip (a
+	// job that may finish right after its submission). Callers hold s.mu.
+	heldLocked := func(skip string) int {
+		n := 0
+		for id, j := range s.jobs {
+			if id != skip && terminalStatus(j.statusNow()) {
+				n++
+			}
+		}
+		return n
+	}
+	for k, sigma := range []string{"0.03", "0.035", "0.04", "0.045", "0.05"} {
+		v := submit(t, ts.URL, `{"kind":"sweep","spec":{"benchmarks":["sym6_145"],"configs":["ibm"],"sigmas":[`+sigma+`]}}`)
+		s.mu.Lock()
+		held := heldLocked(v.ID)
+		j := s.jobs[v.ID]
+		// Hold s.mu while the job runs: if it can reach its clients as
+		// done in the meantime, the server must already count it.
+		select {
+		case <-j.done:
+		case <-time.After(100 * time.Millisecond):
+		}
+		terminal, counted := heldLocked(""), s.finished
+		s.mu.Unlock()
+		if held > 1 {
+			t.Fatalf("job %d submitted with %d finished jobs in memory, RetainJobs 1", k, held)
+		}
+		if terminal != counted {
+			t.Fatalf("job %d: %d finished jobs in memory, %d counted", k, terminal, counted)
+		}
+		select {
+		case <-j.done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("job %d did not finish", k)
+		}
+	}
+}
+
 // longSearchBody is a search far larger than any test waits for — the
 // cancellation and shutdown tests rely on it not finishing on its own.
 const longSearchBody = `{"kind":"search","spec":{"benchmark":"sym6_145","strategy":"anneal","steps":200000,"max_evals":2}}`
